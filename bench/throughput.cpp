@@ -37,7 +37,6 @@
 #include "dataplane/hashpipe.hpp"
 #include "dataplane/p4_tdbf.hpp"
 #include "pipeline/pipeline.hpp"
-#include "sketch/count_min.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
 #include "sketch/univmon.hpp"
@@ -419,7 +418,7 @@ std::vector<SlidingResult> measure_sliding_section(const ThroughputOptions& opt,
   rows.push_back(measure_sliding(
       "memento", "v4",
       [&] { return std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window}); },
-      [&](MementoDetector& det, SlidingResult* row) {
+      [&](WindowedDetector& det, SlidingResult* row) {
         score_against(exact_v4, det.query(packets.back().ts, phi), row);
       },
       packets, opt));
@@ -433,7 +432,7 @@ std::vector<SlidingResult> measure_sliding_section(const ThroughputOptions& opt,
         return std::make_unique<MementoHhhV6Detector>(MementoHhhParams{
             .hierarchy = Hierarchy::v6_byte_granularity(), .window = window});
       },
-      [&](MementoDetector& det, SlidingResult* row) {
+      [&](WindowedDetector& det, SlidingResult* row) {
         score_against(exact_v6, det.query(v6_packets.back().ts, phi), row);
       },
       v6_packets, opt));
@@ -738,19 +737,6 @@ void BM_ExactLevelAggregates(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExactLevelAggregates);
-
-void BM_CountMin(benchmark::State& state) {
-  const auto& packets = stream();
-  CountMinSketch cm(CountMinParams{.width = 2048, .depth = 4,
-                                   .conservative = state.range(0) != 0});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& p = packets[i++ % packets.size()];
-    cm.update(p.src().v4().bits(), p.ip_len);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountMin)->Arg(0)->Arg(1)->ArgName("conservative");
 
 void BM_SpaceSaving(benchmark::State& state) {
   const auto& packets = stream();

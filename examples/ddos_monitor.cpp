@@ -98,7 +98,7 @@ int main() {
 
   const auto t_memento = first_alarm(
       config,
-      pipeline::make_memento_stage(std::make_unique<MementoHhhDetector>(
+      pipeline::make_windowed_stage(std::make_unique<MementoHhhDetector>(
           MementoHhhParams{.window = window, .frames = 10})),
       pipeline::make_sliding_policy(window, Duration::seconds(1)), phi, attack_prefix);
 

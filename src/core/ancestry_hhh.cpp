@@ -111,12 +111,6 @@ HhhSet AncestryHhhEngine::extract(double phi) const {
       1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(total_bytes_))));
   const double threshold = static_cast<double>(result.threshold_bytes);
 
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
   // The trie state is *fragmented*: a prefix's counted mass is spread over
   // the live entries in its subtree (compression only ever moves mass from
   // a child entry to its parent entry, i.e. within every ancestor's
@@ -144,25 +138,9 @@ HhhSet AncestryHhhEngine::extract(double phi) const {
     });
   }
 
-  for (std::size_t level = 0; level < levels_.size(); ++level) {
-    for (const auto& [prefix, full] : upper[level]) {
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
-    }
+  ConditionedSelector select(result, threshold);
+  for (const auto& level : upper) {
+    for (const auto& [prefix, full] : level) select.consider(prefix, full);
   }
   return result;
 }

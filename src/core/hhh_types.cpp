@@ -20,6 +20,27 @@ bool HhhSet::contains(PrefixKey p) const noexcept {
                      [&](const HhhItem& item) { return item.prefix == p; });
 }
 
+void ConditionedSelector::discount_and_select(PrefixKey prefix, double full) {
+  // Discount every selected HHH descendant whose closest selected
+  // ancestor (among selected ∪ {prefix}) is `prefix` itself.
+  double conditioned = full;
+  for (const auto& d : selected_) {
+    if (!prefix.is_ancestor_of(d.prefix)) continue;
+    const bool closest = std::none_of(
+        selected_.begin(), selected_.end(), [&](const Selected& between) {
+          return between.prefix.length() > prefix.length() &&
+                 between.prefix.length() < d.prefix.length() &&
+                 between.prefix.is_ancestor_of(d.prefix);
+        });
+    if (closest) conditioned -= d.full_estimate;
+  }
+  if (conditioned >= threshold_) {
+    result_.add(HhhItem{prefix, static_cast<std::uint64_t>(std::max(0.0, full)),
+                        static_cast<std::uint64_t>(std::max(0.0, conditioned))});
+    selected_.push_back(Selected{prefix, full});
+  }
+}
+
 std::vector<HhhItem> HhhSet::at_length(unsigned len) const {
   std::vector<HhhItem> out;
   for (const auto& item : items_) {

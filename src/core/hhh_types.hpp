@@ -66,6 +66,40 @@ class HhhSet {
   std::vector<HhhItem> items_;
 };
 
+/// Bottom-up conditioned-count selection, the extraction step shared by
+/// every sketch-backed detector. Candidates are considered level by
+/// level, most specific level first. A candidate's conditioned count is
+/// its full estimate minus the full estimates of the selected HHHs whose
+/// closest selected ancestor it is; it is reported iff that reaches the
+/// threshold. The caller owns the threshold rule: engines pass
+/// ceil(phi * N), windowed detectors the raw phi * N.
+class ConditionedSelector {
+ public:
+  /// Select into `result` at absolute threshold `threshold` (> 0).
+  ConditionedSelector(HhhSet& result, double threshold)
+      : result_(result), threshold_(threshold) {}
+
+  /// Consider one candidate prefix with full (subtree) estimate `full`.
+  void consider(PrefixKey prefix, double full) {
+    // Every selected estimate is >= threshold > 0, so discounts only
+    // shrink a candidate: one whose full estimate is below the threshold
+    // can never be selected. Most summary entries stop here, inline.
+    if (full >= threshold_) discount_and_select(prefix, full);
+  }
+
+ private:
+  void discount_and_select(PrefixKey prefix, double full);
+
+  struct Selected {
+    PrefixKey prefix;
+    double full_estimate;
+  };
+
+  HhhSet& result_;
+  double threshold_;
+  std::vector<Selected> selected_;
+};
+
 /// Sorted-unique union of prefix sets (accumulator for per-window reports).
 class PrefixUnion {
  public:

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/hhh_types.hpp"
+#include "core/windowed_detector.hpp"
 #include "net/hierarchy.hpp"
 #include "net/packet.hpp"
 #include "sketch/memento.hpp"
@@ -46,64 +47,10 @@ struct MementoHhhParams {
   std::uint64_t seed = 0x3E3E'0001;         ///< level-sampler RNG seed
 };
 
-/// Family-erased interface of the Memento sliding-window detectors — what
-/// the pipeline stage, the merge ledger and the frame ring hold so one
-/// code path serves v4 and v6 snapshots. The per-packet hot loops live in
-/// the concrete offer_batch(); the interface costs one virtual call per
-/// batch, not per packet.
-class MementoDetector {
- public:
-  /// Detectors are owned polymorphically by stages and ledgers.
-  virtual ~MementoDetector() = default;
-
-  /// Account one packet (sampling one hierarchy level); timestamps must
-  /// be non-decreasing. Packets of the other family are ignored.
-  virtual void offer(const PacketRecord& packet) = 0;
-
-  /// Account a timestamp-ordered run of packets. Amortized level draws
-  /// (two Lemire-reduced draws per RNG step, as in RHHH's add_batch);
-  /// same level distribution and window totals as the offer() loop.
-  virtual void offer_batch(std::span<const PacketRecord> packets) = 0;
-
-  /// HHHs of the trailing window as of `now`, at relative threshold `phi`
-  /// (T = phi * exact window volume), computable at any instant.
-  virtual HhhSet query(TimePoint now, double phi) = 0;
-
-  /// Exact total bytes within the trailing window as of `now`
-  /// (conservatively including the partially expired oldest frame).
-  virtual double window_total(TimePoint now) = 0;
-
-  /// Fold another detector's per-level summaries and window totals into
-  /// this one (sharded/multi-vantage sliding deployments; error bounds
-  /// sum per level as for RHHH merges). Throws std::invalid_argument on
-  /// a family or Params mismatch.
-  virtual void merge_from(const MementoDetector& other) = 0;
-
-  /// Start of the newest frame observed; TimePoint() before any traffic.
-  /// The natural query instant for a restored or merged detector.
-  virtual TimePoint high_watermark() const noexcept = 0;
-
-  /// Write params, sampler RNG state, total ring and every level's window
-  /// state to the wire (wire v2; kMementoDetector frames).
-  virtual void save_state(wire::Writer& w) const = 0;
-
-  /// Restore state written by save_state() into a detector constructed
-  /// with the same Params; throws wire::WireFormatError on mismatch.
-  virtual void load_state(wire::Reader& r) = 0;
-
-  /// Heap footprint — bounded by Params, independent of traffic volume.
-  virtual std::size_t memory_bytes() const noexcept = 0;
-
-  /// "memento" for the IPv4 instantiation, "memento_v6" for IPv6.
-  virtual std::string name() const = 0;
-
-  /// The construction parameters (merge compatibility checks).
-  virtual const MementoHhhParams& params() const noexcept = 0;
-};
-
-/// The concrete per-family detector (see file header).
+/// The concrete per-family detector (see file header); one
+/// WindowedDetector implementation.
 template <typename D>
-class BasicMementoHhhDetector final : public MementoDetector {
+class BasicMementoHhhDetector final : public WindowedDetector {
  public:
   /// Construction-time configuration (shared across families).
   using Params = MementoHhhParams;
@@ -117,16 +64,19 @@ class BasicMementoHhhDetector final : public MementoDetector {
   void offer_batch(std::span<const PacketRecord> packets) override;
   HhhSet query(TimePoint now, double phi) override;
   double window_total(TimePoint now) override;
-  void merge_from(const MementoDetector& other) override;
+  /// Throws std::invalid_argument unless `other` is a Memento detector
+  /// of the same family and geometry (seeds may differ).
+  void merge_from(const WindowedDetector& other) override;
   TimePoint high_watermark() const noexcept override;
   void save_state(wire::Writer& w) const override;
   void load_state(wire::Reader& r) override;
   std::size_t memory_bytes() const noexcept override;
   std::string name() const override;
-  const MementoHhhParams& params() const noexcept override { return params_; }
+  /// The construction parameters (merge compatibility checks).
+  const MementoHhhParams& params() const noexcept { return params_; }
 
  private:
-  friend std::unique_ptr<MementoDetector> deserialize_memento_detector(wire::Reader& r);
+  friend std::unique_ptr<WindowedDetector> deserialize_memento_detector(wire::Reader& r);
 
   void note_packet(TimePoint ts, double bytes) noexcept;
   std::int64_t frame_of(TimePoint t) const noexcept { return t.ns() / frame_len_.ns(); }
@@ -154,6 +104,6 @@ extern template class BasicMementoHhhDetector<V6Domain>;
 /// Construct a detector directly from a save_state() payload: reads the
 /// params header and picks the family instantiation — the collector's and
 /// frame ring's entry point for kMementoDetector snapshots.
-std::unique_ptr<MementoDetector> deserialize_memento_detector(wire::Reader& r);
+std::unique_ptr<WindowedDetector> deserialize_memento_detector(wire::Reader& r);
 
 }  // namespace hhh

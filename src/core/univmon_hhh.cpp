@@ -69,37 +69,14 @@ HhhSet UnivmonHhhEngine::extract(double phi) const {
       1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(total_bytes_))));
   const double threshold = static_cast<double>(result.threshold_bytes);
 
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
-  for (std::size_t level = 0; level < sketches_.size(); ++level) {
+  ConditionedSelector select(result, threshold);
+  for (const UnivMon& sketch : sketches_) {
     // Enumerate candidates below the threshold too (half, for estimation
     // slack), then apply the conditioned rule.
-    const auto candidates =
-        sketches_[level].heavy_hitters(static_cast<std::int64_t>(threshold / 2.0));
-    for (const auto& candidate : candidates) {
-      const PrefixKey prefix = V4Domain::prefix(candidate.key);
-      const double full = static_cast<double>(candidate.estimate);
-
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(std::max(0.0, full)),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
+    for (const auto& candidate :
+         sketch.heavy_hitters(static_cast<std::int64_t>(threshold / 2.0))) {
+      select.consider(V4Domain::prefix(candidate.key),
+                      static_cast<double>(candidate.estimate));
     }
   }
   return result;

@@ -49,50 +49,31 @@ HhhSet WcssSlidingHhhDetector::query(TimePoint now, double phi) {
   const double threshold = std::max(phi * total, 1.0);
   result.threshold_bytes = static_cast<std::uint64_t>(std::ceil(threshold));
 
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
-  for (std::size_t level = 0; level < levels_.size(); ++level) {
+  ConditionedSelector select(result, threshold);
+  for (auto& level : levels_) {
     // Candidates well below the threshold cannot become HHHs (conditioned
     // counts only shrink), so enumerate at half the threshold for margin
     // against per-frame estimation error.
-    const auto candidates = levels_[level].candidates_at_least(threshold * 0.5, now);
-    for (const auto& candidate : candidates) {
-      const PrefixKey prefix = V4Domain::prefix(candidate.key);
-      const double full = candidate.estimate;
-
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
+    for (const auto& candidate : level.candidates_at_least(threshold * 0.5, now)) {
+      select.consider(V4Domain::prefix(candidate.key), candidate.estimate);
     }
   }
   return result;
 }
 
-void WcssSlidingHhhDetector::merge_from(const WcssSlidingHhhDetector& other) {
-  if (other.params_.hierarchy != params_.hierarchy ||
-      other.params_.window != params_.window || other.params_.frames != params_.frames ||
-      other.params_.counters_per_level != params_.counters_per_level) {
+void WcssSlidingHhhDetector::merge_from(const WindowedDetector& other) {
+  const auto* peer = dynamic_cast<const WcssSlidingHhhDetector*>(&other);
+  if (peer == nullptr) {
+    throw std::invalid_argument("WcssSlidingHhhDetector::merge_from: cannot merge '" +
+                                other.name() + "' into 'wcss'");
+  }
+  if (peer->params_.hierarchy != params_.hierarchy ||
+      peer->params_.window != params_.window || peer->params_.frames != params_.frames ||
+      peer->params_.counters_per_level != params_.counters_per_level) {
     throw std::invalid_argument("WcssSlidingHhhDetector::merge_from: Params mismatch");
   }
   for (std::size_t level = 0; level < levels_.size(); ++level) {
-    levels_[level].merge_from(other.levels_[level]);
+    levels_[level].merge_from(peer->levels_[level]);
   }
 }
 

@@ -5,23 +5,20 @@
 #include <utility>
 
 #include "core/engine.hpp"
-#include "core/memento_hhh.hpp"
-#include "core/wcss_hhh.hpp"
+#include "core/windowed_detector.hpp"
 #include "wire/snapshot.hpp"
-#include "wire/wire.hpp"
 
 namespace hhh::pipeline {
 
 namespace {
 
-/// The merge head an interval query accumulates into: exactly one of the
-/// three state families, mirroring service::Scope without depending on
+/// The merge head an interval query accumulates into: exactly one of
+/// engine/windowed, mirroring service::Scope without depending on
 /// service/ (the ring is a pipeline-layer facility).
 struct MergeHead {
   std::string key;
   std::unique_ptr<HhhEngine> engine;
-  std::unique_ptr<WcssSlidingHhhDetector> wcss;
-  std::unique_ptr<MementoDetector> memento;
+  std::unique_ptr<WindowedDetector> windowed;
   TimePoint watermark;  // max sliding high_watermark folded
 };
 
@@ -31,20 +28,10 @@ MergeHead decode_head(const RetainedFrame& retained) {
               wire::WireError::kTrailingBytes,
               "retained bytes continue past their frame");
   MergeHead head;
-  if (frame.kind == wire::SnapshotKind::kWcssDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    head.wcss = WcssSlidingHhhDetector::deserialize(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-    head.key = "wcss";
-    head.watermark = head.wcss->high_watermark();
-  } else if (frame.kind == wire::SnapshotKind::kMementoDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    head.memento = deserialize_memento_detector(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-    head.key = head.memento->name();
-    head.watermark = head.memento->high_watermark();
+  if (wire::is_windowed_kind(frame.kind)) {
+    head.windowed = wire::load_windowed(frame);
+    head.key = head.windowed->name();
+    head.watermark = head.windowed->high_watermark();
   } else {
     head.engine = wire::load_engine(frame);
     head.key = head.engine->name();
@@ -108,10 +95,8 @@ IntervalReport FrameRing::query_interval(TimePoint t1, TimePoint t2,
       }
       if (merged.engine) {
         merged.engine->merge_from(*head.engine);
-      } else if (merged.wcss) {
-        merged.wcss->merge_from(*head.wcss);
       } else {
-        merged.memento->merge_from(*head.memento);
+        merged.windowed->merge_from(*head.windowed);
       }
       merged.watermark = std::max(merged.watermark, head.watermark);
     }
@@ -119,13 +104,8 @@ IntervalReport FrameRing::query_interval(TimePoint t1, TimePoint t2,
     out.covered_end = retained->end;
   }
 
-  if (merged.engine) {
-    out.hhhs = merged.engine->extract(phi);
-  } else if (merged.wcss) {
-    out.hhhs = merged.wcss->query(merged.watermark, phi);
-  } else {
-    out.hhhs = merged.memento->query(merged.watermark, phi);
-  }
+  out.hhhs = merged.engine ? merged.engine->extract(phi)
+                          : merged.windowed->query(merged.watermark, phi);
   out.group = merged.key;
   return out;
 }

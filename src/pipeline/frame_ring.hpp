@@ -24,8 +24,9 @@
 /// produce the same HHH set as an offline merge of those frames
 /// (pipeline_frame_ring_test pins this).
 ///
-/// Layering: sits above wire/ and core/ (it decodes engine, WCSS and
-/// Memento frames itself) and beside the sinks; service/ is not involved.
+/// Layering: sits above wire/ and core/ (it decodes engine and
+/// windowed-detector frames itself) and beside the sinks; service/ is not
+/// involved.
 #pragma once
 
 #include <cstdint>

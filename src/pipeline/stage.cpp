@@ -6,7 +6,6 @@
 #include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
 #include "wire/snapshot.hpp"
-#include "wire/wire.hpp"
 
 namespace hhh::pipeline {
 
@@ -69,37 +68,36 @@ class EngineStage final : public MeasurementStage {
   mutable std::unique_ptr<HhhEngine> folded_;
 };
 
-class WcssStage final : public MeasurementStage {
+class WindowedStage final : public MeasurementStage {
  public:
-  explicit WcssStage(const WcssSlidingHhhDetector::Params& params) : detector_(params) {}
+  explicit WindowedStage(std::unique_ptr<WindowedDetector> detector)
+      : detector_(std::move(detector)) {
+    if (!detector_) throw std::invalid_argument("WindowedStage: null detector");
+  }
 
   void ingest(std::span<const PacketRecord> run) override {
-    detector_.offer_batch(run);
+    detector_->offer_batch(run);
   }
 
   HhhSet report(const WindowEvent& event, double phi) override {
-    return detector_.query(event.end, phi);
+    return detector_->query(event.end, phi);
   }
 
   bool serializable() const override { return true; }
 
   std::vector<std::uint8_t> snapshot() const override {
-    std::vector<std::uint8_t> payload;
-    wire::Writer w(payload);
-    detector_.save_state(w);
-    return wire::build_frame(wire::SnapshotKind::kWcssDetector, payload);
+    return wire::save_windowed(*detector_);
   }
 
   std::uint64_t total_bytes() const override {
-    return static_cast<std::uint64_t>(detector_.window_total(detector_.high_watermark()));
+    return static_cast<std::uint64_t>(
+        detector_->window_total(detector_->high_watermark()));
   }
-  std::size_t memory_bytes() const override { return detector_.memory_bytes(); }
-  std::string name() const override { return "wcss"; }
+  std::size_t memory_bytes() const override { return detector_->memory_bytes(); }
+  std::string name() const override { return detector_->name(); }
 
  private:
-  // mutable: window_total()/query() advance the summaries' expiry cursors
-  // (logically const — they change no accounted state).
-  mutable WcssSlidingHhhDetector detector_;
+  std::unique_ptr<WindowedDetector> detector_;
 };
 
 class SlidingExactStage final : public MeasurementStage {
@@ -150,41 +148,6 @@ class SlidingExactStage final : public MeasurementStage {
   std::uint64_t last_total_bytes_ = 0;  // of the most recent report
 };
 
-class MementoStage final : public MeasurementStage {
- public:
-  explicit MementoStage(std::unique_ptr<MementoDetector> detector)
-      : detector_(std::move(detector)) {
-    if (!detector_) throw std::invalid_argument("MementoStage: null detector");
-  }
-
-  void ingest(std::span<const PacketRecord> run) override {
-    detector_->offer_batch(run);
-  }
-
-  HhhSet report(const WindowEvent& event, double phi) override {
-    return detector_->query(event.end, phi);
-  }
-
-  bool serializable() const override { return true; }
-
-  std::vector<std::uint8_t> snapshot() const override {
-    std::vector<std::uint8_t> payload;
-    wire::Writer w(payload);
-    detector_->save_state(w);
-    return wire::build_frame(wire::SnapshotKind::kMementoDetector, payload);
-  }
-
-  std::uint64_t total_bytes() const override {
-    return static_cast<std::uint64_t>(
-        detector_->window_total(detector_->high_watermark()));
-  }
-  std::size_t memory_bytes() const override { return detector_->memory_bytes(); }
-  std::string name() const override { return detector_->name(); }
-
- private:
-  std::unique_ptr<MementoDetector> detector_;
-};
-
 class TdbfStage final : public MeasurementStage {
  public:
   explicit TdbfStage(const TimeDecayingHhhDetector::Params& params) : detector_(params) {}
@@ -217,9 +180,9 @@ std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> e
   return std::make_unique<EngineStage>(std::move(engine));
 }
 
-std::unique_ptr<MeasurementStage> make_wcss_stage(
-    const WcssSlidingHhhDetector::Params& params) {
-  return std::make_unique<WcssStage>(params);
+std::unique_ptr<MeasurementStage> make_windowed_stage(
+    std::unique_ptr<WindowedDetector> detector) {
+  return std::make_unique<WindowedStage>(std::move(detector));
 }
 
 std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
@@ -228,8 +191,8 @@ std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
 }
 
 std::unique_ptr<MeasurementStage> make_memento_stage(
-    std::unique_ptr<MementoDetector> detector) {
-  return std::make_unique<MementoStage>(std::move(detector));
+    std::unique_ptr<WindowedDetector> detector) {
+  return make_windowed_stage(std::move(detector));
 }
 
 std::unique_ptr<MeasurementStage> make_tdbf_stage(

@@ -8,12 +8,12 @@
 ///  * the policy decides *when* a report is due and whether closing it
 ///    resets the state (disjoint) or not (sliding/decaying);
 ///  * the stage decides *how* the report is computed: extract() on a
-///    resettable HhhEngine, a trailing-window query on a WCSS detector,
-///    a continuous-time query on decaying TDBF state, or the exact
-///    rolling sliding-window computation.
+///    resettable HhhEngine, a trailing-window query on a WindowedDetector
+///    (WCSS or Memento), a continuous-time query on decaying TDBF state,
+///    or the exact rolling sliding-window computation.
 ///
 /// Stage + policy pairings mirror the paper's models: engine x disjoint
-/// (Fig. 1a), wcss/sliding-exact x sliding (Fig. 1b), tdbf x query
+/// (Fig. 1a), windowed/sliding-exact x sliding (Fig. 1b), tdbf x query
 /// cadence (§3's windowless monitor).
 #pragma once
 
@@ -24,10 +24,9 @@
 #include <vector>
 
 #include "core/hhh_types.hpp"
-#include "core/memento_hhh.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
+#include "core/windowed_detector.hpp"
 #include "net/packet.hpp"
 #include "pipeline/window_policy.hpp"
 
@@ -82,11 +81,16 @@ class MeasurementStage {
 /// wire::save_engine. Pair with the disjoint policy.
 std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> engine);
 
-/// WCSS sliding-window stage: report = query(event.end, phi) over the
-/// trailing window; never resets; snapshots as a kWcssDetector frame.
-/// Pair with the sliding policy (step <= window).
-std::unique_ptr<MeasurementStage> make_wcss_stage(
-    const WcssSlidingHhhDetector::Params& params);
+/// Windowed-detector stage (WCSS or Memento, v4 or v6): report =
+/// query(event.end, phi) over the trailing window; never resets;
+/// snapshots through wire::save_windowed. Takes the detector itself the
+/// way make_engine_stage takes an engine; the stage's name is the
+/// detector's. Pair with the sliding policy (step <= window; step should
+/// divide the detector's frame length W/frames so report boundaries
+/// align with frame boundaries). Ingests through offer_batch — one
+/// virtual call per run.
+std::unique_ptr<MeasurementStage> make_windowed_stage(
+    std::unique_ptr<WindowedDetector> detector);
 
 /// Exact sliding-window stage over SlidingWindowHhhDetector. The policy's
 /// sliding schedule must match the detector's (same window/step/
@@ -98,15 +102,10 @@ std::unique_ptr<MeasurementStage> make_wcss_stage(
 std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
     const SlidingWindowHhhDetector::Params& params);
 
-/// Memento sliding-window stage: report = query(event.end, phi) over the
-/// trailing window; never resets; snapshots as a kMementoDetector frame.
-/// Takes the detector itself (v4 MementoHhhDetector or v6
-/// MementoHhhV6Detector) the way make_engine_stage takes an engine. Pair
-/// with the sliding policy (step <= window; step should divide the
-/// detector's frame length W/frames so report boundaries align with frame
-/// boundaries). Ingests through offer_batch — one virtual call per run.
+/// Same as make_windowed_stage; kept under its older name because the
+/// end-to-end benchmark (perfbench/) builds its Memento vantages with it.
 std::unique_ptr<MeasurementStage> make_memento_stage(
-    std::unique_ptr<MementoDetector> detector);
+    std::unique_ptr<WindowedDetector> detector);
 
 /// Windowless TDBF stage: report = continuous-time query at event.end;
 /// never resets (state decays). Pair with the query-cadence policy.

@@ -17,91 +17,66 @@ double Thresholds::scope_phi(double scope_total) const {
 Scope decode_scope(const wire::FrameView& frame, std::string label) {
   Scope scope;
   scope.label = std::move(label);
-  if (frame.kind == wire::SnapshotKind::kWcssDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    scope.wcss = WcssSlidingHhhDetector::deserialize(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-  } else if (frame.kind == wire::SnapshotKind::kMementoDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    scope.memento = deserialize_memento_detector(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
+  if (wire::is_windowed_kind(frame.kind)) {
+    scope.windowed = wire::load_windowed(frame);
+    if (frame.kind == wire::SnapshotKind::kMementoDetector) {
+      scope.memento = scope.windowed.get();
+    }
   } else {
     scope.engine = wire::load_engine(frame);
   }
   return scope;
 }
 
+namespace {
+
+// The HHH set of one decoded state: engines extract, windowed detectors
+// query their trailing window as of `watermark`.
+HhhSet extract_state(HhhEngine* engine, WindowedDetector* windowed, TimePoint watermark,
+                     const Thresholds& thresholds) {
+  if (windowed) {
+    return windowed->query(watermark,
+                           thresholds.scope_phi(windowed->window_total(watermark)));
+  }
+  return engine->extract(thresholds.scope_phi(static_cast<double>(engine->total_bytes())));
+}
+
+}  // namespace
+
 MergeLedger::MergeLedger(Thresholds thresholds) : thresholds_(thresholds) {}
 
-MergeLedger::Group* MergeLedger::find_group(const std::string& key) {
-  for (Group& g : groups_) {
-    if (g.key == key) return &g;
+void MergeLedger::merge_group(Group&& incoming) {
+  const auto group = std::find_if(groups_.begin(), groups_.end(),
+                                  [&](const Group& g) { return g.key == incoming.key; });
+  if (group == groups_.end()) {
+    groups_.push_back(std::move(incoming));
+  } else if (group->windowed) {
+    group->windowed->merge_from(*incoming.windowed);
+    group->watermark = std::max(group->watermark, incoming.watermark);
+  } else {
+    group->engine->merge_from(*incoming.engine);
   }
-  return nullptr;
 }
 
 HhhSet MergeLedger::fold(Scope scope) {
   // Extract the scope's local view BEFORE merging: what this single
   // vantage would report on its own is what defines "seen locally".
-  HhhSet local;
-  std::string key;
-  TimePoint watermark;
-  if (scope.wcss) {
-    key = "wcss";
-    watermark = scope.wcss->high_watermark();
-    local = scope.wcss->query(watermark,
-                              thresholds_.scope_phi(scope.wcss->window_total(watermark)));
-  } else if (scope.memento) {
-    key = scope.memento->name();
-    watermark = scope.memento->high_watermark();
-    local = scope.memento->query(
-        watermark, thresholds_.scope_phi(scope.memento->window_total(watermark)));
-  } else {
-    key = scope.engine->name();
-    local = scope.engine->extract(
-        thresholds_.scope_phi(static_cast<double>(scope.engine->total_bytes())));
-  }
+  const TimePoint watermark =
+      scope.windowed ? scope.windowed->high_watermark() : TimePoint();
+  Group incoming{.key = scope.windowed ? scope.windowed->name() : scope.engine->name(),
+                 .engine = std::move(scope.engine),
+                 .windowed = std::move(scope.windowed),
+                 .watermark = watermark};
+  HhhSet local = extract_state(incoming.engine.get(), incoming.windowed.get(),
+                               incoming.watermark, thresholds_);
   seen_locally_.add(local.prefixes());
-
-  if (Group* group = find_group(key)) {
-    if (scope.wcss) {
-      group->wcss->merge_from(*scope.wcss);
-      group->watermark = std::max(group->watermark, watermark);
-    } else if (scope.memento) {
-      group->memento->merge_from(*scope.memento);
-      group->watermark = std::max(group->watermark, watermark);
-    } else {
-      group->engine->merge_from(*scope.engine);
-    }
-  } else {
-    groups_.push_back(Group{.key = std::move(key),
-                            .engine = std::move(scope.engine),
-                            .wcss = std::move(scope.wcss),
-                            .memento = std::move(scope.memento),
-                            .watermark = watermark});
-  }
+  merge_group(std::move(incoming));
   ++scopes_folded_;
   return local;
 }
 
 void MergeLedger::absorb(MergeLedger&& other) {
-  for (Group& incoming : other.groups_) {
-    if (Group* group = find_group(incoming.key)) {
-      if (incoming.wcss) {
-        group->wcss->merge_from(*incoming.wcss);
-        group->watermark = std::max(group->watermark, incoming.watermark);
-      } else if (incoming.memento) {
-        group->memento->merge_from(*incoming.memento);
-        group->watermark = std::max(group->watermark, incoming.watermark);
-      } else {
-        group->engine->merge_from(*incoming.engine);
-      }
-    } else {
-      groups_.push_back(std::move(incoming));
-    }
-  }
+  for (Group& incoming : other.groups_) merge_group(std::move(incoming));
   seen_locally_.add(other.seen_locally_.values());
   scopes_folded_ += other.scopes_folded_;
   other.groups_.clear();
@@ -115,16 +90,7 @@ LedgerReport MergeLedger::report() {
   for (Group& g : groups_) {
     GroupReport group;
     group.key = g.key;
-    if (g.wcss) {
-      group.merged = g.wcss->query(
-          g.watermark, thresholds_.scope_phi(g.wcss->window_total(g.watermark)));
-    } else if (g.memento) {
-      group.merged = g.memento->query(
-          g.watermark, thresholds_.scope_phi(g.memento->window_total(g.watermark)));
-    } else {
-      group.merged = g.engine->extract(
-          thresholds_.scope_phi(static_cast<double>(g.engine->total_bytes())));
-    }
+    group.merged = extract_state(g.engine.get(), g.windowed.get(), g.watermark, thresholds_);
     // The reveal: heavy in the merged view, reported by no single scope.
     hidden.add(prefix_difference(group.merged.prefixes(), seen_locally_.values()));
     out.groups.push_back(std::move(group));
@@ -137,19 +103,8 @@ std::vector<std::vector<std::uint8_t>> MergeLedger::save_group_frames() const {
   std::vector<std::vector<std::uint8_t>> frames;
   frames.reserve(groups_.size());
   for (const Group& g : groups_) {
-    if (g.wcss) {
-      std::vector<std::uint8_t> payload;
-      wire::Writer w(payload);
-      g.wcss->save_state(w);
-      frames.push_back(wire::build_frame(wire::SnapshotKind::kWcssDetector, payload));
-    } else if (g.memento) {
-      std::vector<std::uint8_t> payload;
-      wire::Writer w(payload);
-      g.memento->save_state(w);
-      frames.push_back(wire::build_frame(wire::SnapshotKind::kMementoDetector, payload));
-    } else {
-      frames.push_back(wire::save_engine(*g.engine));
-    }
+    frames.push_back(g.windowed ? wire::save_windowed(*g.windowed)
+                                : wire::save_engine(*g.engine));
   }
   return frames;
 }
@@ -187,8 +142,7 @@ void MergeLedger::load_state(wire::Reader& r) {
     r.skip(len);
     groups_.push_back(Group{.key = key,
                             .engine = std::move(scope.engine),
-                            .wcss = std::move(scope.wcss),
-                            .memento = std::move(scope.memento),
+                            .windowed = std::move(scope.windowed),
                             .watermark = watermark});
   }
   const std::uint64_t n_seen = r.count(1);

@@ -3,14 +3,13 @@
 /// offline `hhh-collector` tool and the `hhh-collectord` daemon, so the
 /// file path and the socket path cannot drift.
 ///
-/// A ledger folds vantage *scopes* (decoded snapshot frames: one engine,
-/// one WCSS sliding detector, or one Memento sliding detector each) and
-/// maintains:
+/// A ledger folds vantage *scopes* (decoded snapshot frames: one engine
+/// or one WindowedDetector each) and maintains:
 ///
-///   * per compatibility group (keyed by engine name; WCSS detectors key
-///     as "wcss", Memento detectors as their family name), a running
-///     merged head via the same
-///     merge_from() semantics the sharded front-end uses in-process;
+///   * per compatibility group (keyed by the engine's or windowed
+///     detector's name: "exact", "wcss", "memento", "memento_v6", ...), a
+///     running merged head via the same merge_from() semantics the
+///     sharded front-end uses in-process;
 ///   * the union of every scope's *locally extracted* HHH prefixes —
 ///     extraction happens inside fold(), before the scope is merged,
 ///     exactly like the tool's pre-merge extraction pass.
@@ -30,8 +29,7 @@
 
 #include "core/engine.hpp"
 #include "core/hhh_types.hpp"
-#include "core/memento_hhh.hpp"
-#include "core/wcss_hhh.hpp"
+#include "core/windowed_detector.hpp"
 #include "util/sim_time.hpp"
 #include "wire/snapshot.hpp"
 
@@ -51,13 +49,16 @@ struct Thresholds {
   double scope_phi(double scope_total) const;
 };
 
-/// One decoded vantage contribution: exactly one of engine/wcss/memento
-/// is set.
+/// One decoded vantage contribution: exactly one of engine/windowed is
+/// set.
 struct Scope {
   std::string label;                            ///< origin (stats, logs)
   std::unique_ptr<HhhEngine> engine;            ///< engine snapshots
-  std::unique_ptr<WcssSlidingHhhDetector> wcss; ///< WCSS sliding snapshots
-  std::unique_ptr<MementoDetector> memento;     ///< Memento sliding snapshots
+  std::unique_ptr<WindowedDetector> windowed;   ///< sliding-window snapshots
+  /// Non-owning view of `windowed` when it holds a Memento detector
+  /// (kMementoDetector frames), null otherwise. Kept for perfbench/,
+  /// which reads it; new code uses `windowed`.
+  WindowedDetector* memento = nullptr;
 };
 
 /// Decode one snapshot frame into a Scope. Throws wire::WireFormatError
@@ -67,8 +68,7 @@ Scope decode_scope(const wire::FrameView& frame, std::string label);
 
 /// One merged compatibility group in a report.
 struct GroupReport {
-  std::string key;  ///< engine name; sliding detectors key as "wcss" /
-                    ///< "memento" / "memento_v6"
+  std::string key;  ///< engine or windowed-detector name
   HhhSet merged;    ///< the group's network-wide HHH set
 };
 
@@ -128,12 +128,13 @@ class MergeLedger {
   struct Group {
     std::string key;
     std::unique_ptr<HhhEngine> engine;
-    std::unique_ptr<WcssSlidingHhhDetector> wcss;
-    std::unique_ptr<MementoDetector> memento;
+    std::unique_ptr<WindowedDetector> windowed;
     TimePoint watermark;  ///< max high_watermark folded (sliding query instant)
   };
 
-  Group* find_group(const std::string& key);
+  // Merge `incoming` into the group of the same key, or adopt it as a
+  // new group.
+  void merge_group(Group&& incoming);
 
   Thresholds thresholds_;
   std::vector<Group> groups_;

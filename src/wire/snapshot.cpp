@@ -6,8 +6,10 @@
 #include "core/ancestry_hhh.hpp"
 #include "core/engine.hpp"
 #include "core/exact_engine.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "core/univmon_hhh.hpp"
+#include "core/wcss_hhh.hpp"
 
 namespace hhh::wire {
 
@@ -191,6 +193,43 @@ void load_engine_into(std::span<const std::uint8_t> buffer, HhhEngine& engine) {
   Reader r(frame.payload, frame.version);
   engine.load_state(r);
   check(r.done(), WireError::kTrailingBytes, "payload continues past engine state");
+}
+
+bool is_windowed_kind(SnapshotKind kind) noexcept {
+  return kind == SnapshotKind::kWcssDetector || kind == SnapshotKind::kMementoDetector;
+}
+
+std::vector<std::uint8_t> save_windowed(const WindowedDetector& detector) {
+  const std::string name = detector.name();
+  SnapshotKind kind;
+  if (name == "wcss") {
+    kind = SnapshotKind::kWcssDetector;
+  } else if (name == "memento" || name == "memento_v6") {
+    kind = SnapshotKind::kMementoDetector;
+  } else {
+    throw WireFormatError(WireError::kUnsupportedEngine,
+                          "no snapshot kind for windowed detector '" + name + "'");
+  }
+  std::vector<std::uint8_t> payload;
+  Writer w(payload);
+  detector.save_state(w);
+  return build_frame(kind, payload);
+}
+
+std::unique_ptr<WindowedDetector> load_windowed(const FrameView& frame) {
+  Reader r(frame.payload, frame.version);
+  std::unique_ptr<WindowedDetector> detector;
+  if (frame.kind == SnapshotKind::kWcssDetector) {
+    detector = WcssSlidingHhhDetector::deserialize(r);
+  } else if (frame.kind == SnapshotKind::kMementoDetector) {
+    detector = deserialize_memento_detector(r);
+  } else {
+    throw WireFormatError(WireError::kUnsupportedEngine,
+                          std::string("frame kind '") + to_string(frame.kind) +
+                              "' is not a windowed detector snapshot");
+  }
+  check(r.done(), WireError::kTrailingBytes, "payload continues past detector state");
+  return detector;
 }
 
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {

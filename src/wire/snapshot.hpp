@@ -40,6 +40,7 @@
 
 namespace hhh {
 class HhhEngine;
+class WindowedDetector;
 }  // namespace hhh
 
 namespace hhh::wire {
@@ -64,14 +65,14 @@ enum class SnapshotKind : std::uint16_t {
   kAncestryEngine = 3,  ///< AncestryHhhEngine
   kUnivmonEngine = 4,   ///< UnivmonHhhEngine
   kShardedEngine = 5,   ///< ShardedHhhEngine (restore-in-place only)
-  kWcssDetector = 6,    ///< WcssSlidingHhhDetector
+  kWcssDetector = 6,    ///< WcssSlidingHhhDetector (a WindowedDetector)
   kTdbfDetector = 7,    ///< TimeDecayingHhhDetector checkpoint
   kDisjointWindow = 8,  ///< DisjointWindowHhhDetector checkpoint
   kStreamHello = 9,     ///< collector-service stream greeting (service/frame_stream.hpp)
   kEpochFrame = 10,     ///< epoch envelope: window span + one embedded frame
   kStreamBye = 11,      ///< clean end-of-stream marker (and the collector's ack)
   kCollectorCheckpoint = 12,  ///< hhh-collectord crash-recovery checkpoint
-  kMementoDetector = 13,      ///< BasicMementoHhhDetector (v4 or v6)
+  kMementoDetector = 13,      ///< BasicMementoHhhDetector, v4 or v6 (a WindowedDetector)
 };
 
 /// Stable lower-case name of a SnapshotKind ("exact_engine", ...).
@@ -147,6 +148,23 @@ std::unique_ptr<HhhEngine> load_engine(const FrameView& frame);
 /// engines. Validates that the frame kind matches the receiving engine
 /// (kParamsMismatch otherwise) and that the payload is fully consumed.
 void load_engine_into(std::span<const std::uint8_t> buffer, HhhEngine& engine);
+
+/// True for the kinds that carry a WindowedDetector (kWcssDetector,
+/// kMementoDetector): load them with load_windowed(), the rest of the
+/// vantage-state kinds with load_engine().
+bool is_windowed_kind(SnapshotKind kind) noexcept;
+
+/// Serialize a windowed detector into one framed snapshot; the kind
+/// follows the detector's name() ("wcss" -> kWcssDetector, "memento" and
+/// "memento_v6" -> kMementoDetector). Throws WireFormatError
+/// (kUnsupportedEngine) for any other name.
+std::vector<std::uint8_t> save_windowed(const WindowedDetector& detector);
+
+/// Construct a new windowed detector from an already-validated frame
+/// (the collector's and the frame ring's decode path). Throws
+/// WireFormatError: kUnsupportedEngine when the frame is not a windowed
+/// kind, kTrailingBytes when the payload continues past the state.
+std::unique_ptr<WindowedDetector> load_windowed(const FrameView& frame);
 
 /// Write `bytes` to `path` atomically enough for checkpoints (write to
 /// path + ".tmp", then rename). Throws std::runtime_error on I/O errors.

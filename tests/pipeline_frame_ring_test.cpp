@@ -152,7 +152,7 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   config.finish_at = end;
   FrameRing ring(1024);
   Pipeline pipe(make_vector_source(packets),
-                make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
+                make_windowed_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   pipe.add_sink(make_frame_ring_sink(&ring));
   pipe.run();
@@ -164,7 +164,7 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   ASSERT_GE(selected.size(), 2u);
 
   // Offline merge through the detector's own decode path.
-  std::unique_ptr<MementoDetector> offline;
+  std::unique_ptr<WindowedDetector> offline;
   TimePoint watermark;
   for (const RetainedFrame* f : selected) {
     const wire::FrameView view = wire::parse_frame(f->frame);

@@ -393,7 +393,8 @@ TEST(PipelineStagesTest, WcssStageMatchesDirectDetectorQueries) {
   PipelineConfig config;
   config.phi = 0.05;
   config.finish_at = end;
-  Pipeline pipe(make_vector_source(packets), make_wcss_stage(params),
+  Pipeline pipe(make_vector_source(packets),
+                make_windowed_stage(std::make_unique<WcssSlidingHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
   pipe.run();

@@ -11,12 +11,16 @@
 #     lists at least one HHH with a conditioned byte count;
 #   * an interval before any retained frame reports "no retained frame"
 #     instead of failing;
-#   * a sliding engine without --step is rejected with a pointed error.
+#   * a sliding engine without --step is rejected with a pointed error;
+#   * streamed with --connect, the sliding replay announces its --step
+#     as the epoch grid: hhh-collectord --window=STEP accepts every frame
+#     it sends, with no duplicates.
 #
-# Usage: hhh_live_interval_smoke.sh LIVE
+# Usage: hhh_live_interval_smoke.sh LIVE COLLECTORD
 set -eu
 
 LIVE=$1
+COLLECTORD=$2
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT INT TERM
@@ -56,4 +60,32 @@ grep -q 'step' "$WORK/nostep.err" \
     || { echo "FAIL: missing-step error does not mention --step" >&2
          sed 's/^/  hhh-live: /' "$WORK/nostep.err" >&2; exit 1; }
 
-echo "PASS: hhh-live sliding replay answered interval queries from the frame ring"
+# One frame per step, each on the step grid: a collector whose epoch is
+# the step takes every frame exactly once.
+SOCK=$WORK/c.sock
+"$COLLECTORD" --listen=unix:"$SOCK" --window=1 --expected-vantages=1 --idle-exit=1 \
+    > /dev/null 2> "$WORK/collectord.err" &
+CPID=$!
+i=0
+while [ ! -S "$SOCK" ]; do
+    i=$((i + 1))
+    [ $i -le 100 ] || { echo "FAIL: collector socket never appeared" >&2
+                        kill "$CPID"; exit 1; }
+    sleep 0.1
+done
+"$LIVE" --synthetic=3 --seconds=30 --engine=memento --window=10 --step=1 \
+    --connect=unix:"$SOCK" --retry=5 2> "$WORK/connect.err" \
+    || { echo "FAIL: sliding --connect replay exited nonzero" >&2
+         sed 's/^/  hhh-live: /' "$WORK/connect.err" >&2; kill "$CPID"; exit 1; }
+wait "$CPID" || { echo "FAIL: hhh-collectord exited nonzero" >&2
+                  sed 's/^/  collectord: /' "$WORK/collectord.err" >&2; exit 1; }
+SENT=$(sed -n 's/.* \([0-9][0-9]*\) window frame(s) -> .*/\1/p' "$WORK/connect.err")
+GOT=$(sed -n 's/.* conn(s), \([0-9][0-9]*\) frame(s), .*/\1/p' "$WORK/collectord.err")
+[ -n "$SENT" ] && [ "$SENT" = "$GOT" ] \
+    || { echo "FAIL: hhh-live sent '$SENT' frame(s), the collector took '$GOT'" >&2
+         sed 's/^/  collectord: /' "$WORK/collectord.err" >&2; exit 1; }
+grep -q ' 0 duplicate(s)' "$WORK/collectord.err" \
+    || { echo "FAIL: the collector dropped duplicate frames" >&2
+         sed 's/^/  collectord: /' "$WORK/collectord.err" >&2; exit 1; }
+
+echo "PASS: hhh-live sliding replay answered interval queries and streamed on the step grid"

@@ -183,7 +183,7 @@ TEST(DecodeScope, RoundTripsAnEngineFrame) {
 
   Scope scope = decode_scope(frame, "vantage0");
   ASSERT_NE(scope.engine, nullptr);
-  EXPECT_EQ(scope.wcss, nullptr);
+  EXPECT_EQ(scope.windowed, nullptr);
   EXPECT_EQ(scope.label, "vantage0");
   EXPECT_EQ(scope.engine->total_bytes(), engine->total_bytes());
   expect_same_set(scope.engine->extract(0.1), engine->extract(0.1));

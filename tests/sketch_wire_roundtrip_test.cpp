@@ -8,10 +8,7 @@
 #include <vector>
 
 #include "harness/sweep.hpp"
-#include "sketch/count_min.hpp"
 #include "sketch/count_sketch.hpp"
-#include "sketch/exp_histogram.hpp"
-#include "sketch/misra_gries.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
 #include "sketch/wcss.hpp"
@@ -78,20 +75,6 @@ TEST(SketchWireRoundTrip, SpaceSavingCapacityMismatchIsTyped) {
   }
 }
 
-TEST(SketchWireRoundTrip, CountMinExact) {
-  const CountMinParams params{.width = 512, .depth = 4, .conservative = true, .seed = 9};
-  CountMinSketch original(params);
-  Rng rng(0x22EE'0002);
-  for (int i = 0; i < 5000; ++i) original.update(rng.below(2000), 1 + rng.below(64));
-
-  CountMinSketch restored(params);
-  round_trip(original, restored);
-  EXPECT_EQ(restored.total(), original.total());
-  for (std::uint64_t key = 0; key < 2000; ++key) {
-    EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
-  }
-}
-
 TEST(SketchWireRoundTrip, CountSketchExact) {
   CountSketch original(512, 5, 0x5EED);
   Rng rng(0x22EE'0003);
@@ -104,36 +87,6 @@ TEST(SketchWireRoundTrip, CountSketchExact) {
     EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
   }
   EXPECT_EQ(restored.f2_estimate(), original.f2_estimate());
-}
-
-TEST(SketchWireRoundTrip, MisraGriesExact) {
-  MisraGries original(32);
-  Rng rng(0x22EE'0004);
-  for (int i = 0; i < 5000; ++i) original.update(rng.below(300), 1.0 + rng.below(10));
-
-  MisraGries restored(32);
-  round_trip(original, restored);
-  EXPECT_EQ(restored.total(), original.total());
-  EXPECT_EQ(restored.size(), original.size());
-  for (std::uint64_t key = 0; key < 300; ++key) {
-    EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
-  }
-}
-
-TEST(SketchWireRoundTrip, ExpHistogramExact) {
-  ExpHistogram original(8, Duration::seconds(4));
-  Rng rng(0x22EE'0005);
-  TimePoint t;
-  for (int i = 0; i < 3000; ++i) {
-    t += Duration::millis(static_cast<std::int64_t>(rng.below(5)));
-    original.add(1.0 + rng.below(100), t);
-  }
-  ExpHistogram restored(8, Duration::seconds(4));
-  round_trip(original, restored);
-  EXPECT_EQ(restored.bucket_count(), original.bucket_count());
-  EXPECT_EQ(restored.estimate(t), original.estimate(t));
-  EXPECT_EQ(restored.upper_bound(t), original.upper_bound(t));
-  EXPECT_EQ(restored.lower_bound(t), original.lower_bound(t));
 }
 
 TEST(SketchWireRoundTrip, DecayingCountingBloomFilterExact) {

@@ -157,9 +157,9 @@ int run(const Options& opt) {
     std::fprintf(stderr, "error: no snapshot frames found\n");
     return 2;
   }
-  const bool sliding = scopes.front().wcss != nullptr;
+  const bool sliding = scopes.front().windowed != nullptr;
   for (const service::Scope& s : scopes) {
-    if ((s.wcss != nullptr) != sliding) {
+    if ((s.windowed != nullptr) != sliding) {
       std::fprintf(stderr, "error: cannot mix engine and sliding-window snapshots\n");
       return 3;
     }

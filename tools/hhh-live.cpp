@@ -77,6 +77,10 @@
 //                      HOST:PORT). Frames are journaled and replayed on
 //                      reconnect; the run fails if the final bye/ack
 //                      handshake cannot complete within --retry seconds.
+//                      The announced epoch grid is --step for sliding
+//                      engines (one frame per step), else --window: run
+//                      the collector with that --window
+//                      (hhh-collectord --window=STEP).
 //   --vantage=NAME     vantage name announced to the collector
 //                      (default "live")
 //   --retry=S          per-delivery reconnect budget for --connect
@@ -369,15 +373,17 @@ int run(const Options& opt) {
   std::unique_ptr<pipeline::MeasurementStage> stage;
   if (sliding_engine) {
     const Duration window = Duration::from_seconds(opt.window_s);
+    std::unique_ptr<WindowedDetector> detector;
     if (opt.engine == "wcss") {
-      stage = pipeline::make_wcss_stage({.window = window});
+      detector = std::make_unique<WcssSlidingHhhDetector>(
+          WcssSlidingHhhDetector::Params{.window = window});
     } else if (opt.engine == "memento_v6") {
-      stage = pipeline::make_memento_stage(std::make_unique<MementoHhhV6Detector>(
-          MementoHhhParams{.hierarchy = Hierarchy::v6_byte_granularity(), .window = window}));
+      detector = std::make_unique<MementoHhhV6Detector>(
+          MementoHhhParams{.hierarchy = Hierarchy::v6_byte_granularity(), .window = window});
     } else {
-      stage = pipeline::make_memento_stage(
-          std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window}));
+      detector = std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window});
     }
+    stage = pipeline::make_windowed_stage(std::move(detector));
   } else {
     auto engine = build_engine(opt);
     if (!engine) {
@@ -430,7 +436,10 @@ int run(const Options& opt) {
     client = std::make_unique<service::VantageClient>(service::VantageClientOptions{
         .endpoint = *opt.connect,
         .name = opt.vantage,
-        .window_ns = static_cast<std::int64_t>(opt.window_s * 1e9),
+        // The epoch grid is the report cadence: a sliding replay closes
+        // one frame per --step, each ending on the step grid.
+        .window_ns = static_cast<std::int64_t>(
+            (opt.step_s > 0.0 ? opt.step_s : opt.window_s) * 1e9),
         .retry_for_s = opt.retry_s,
         .ack_timeout_s = opt.retry_s});
     pipe.add_sink(std::make_unique<ConnectSink>(*client));
